@@ -207,8 +207,9 @@ func main() {
 		log.Fatal(err)
 	}
 
+	var status *obs.Status // nil (a no-op registry) without -status-addr
 	if opts.StatusAddr != "" {
-		status := obs.NewStatus()
+		status = obs.NewStatus()
 		status.Register("serve", srv.StatusSection)
 		addr, err := obs.StartStatusServer(opts.StatusAddr, status)
 		if err != nil {
@@ -224,14 +225,15 @@ func main() {
 	}
 
 	if opts.ServeAddr != "" {
-		front := serve.NewFront(srv, 10*time.Millisecond)
+		front := serve.NewFront(srv, 0)
 		front.Start()
+		status.Register("http", front.StatusSection)
 		ln, err := net.Listen("tcp", opts.ServeAddr)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("serving POST /classify on http://%s/classify\n", ln.Addr())
-		hs := &http.Server{Handler: front.Handler()}
+		hs := &http.Server{Handler: front.Handler(), ReadHeaderTimeout: 5 * time.Second}
 		go func() {
 			if serr := hs.Serve(ln); serr != nil && serr != http.ErrServerClosed {
 				log.Print(serr)

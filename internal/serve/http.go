@@ -2,19 +2,38 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"sync/atomic"
 	"time"
 )
 
 // This file is the HTTP shell around the deterministic Server core. The
 // core is clocked by request-arrival ticks; the shell maps live traffic
-// onto that clock with a monotonic arrival counter and uses a wall-clock
-// ticker only to fire the max-wait flush when traffic goes thin. The
+// onto that clock with a monotonic arrival counter. The shell is
+// work-conserving: its single consumer takes one request, drains whatever
+// else is already queued into the same batch and flushes at once, so no
+// request waits on a timer and batch size follows the live backlog. The
 // deterministic-replay guarantee is claimed for the driver path
-// (Traffic/Drive), not for concurrent HTTP load — but every individual
-// HTTP request still flows through the same scheduler, wear and
-// maintenance machinery.
+// (Traffic/Drive), not for concurrent HTTP load — batch boundaries depend
+// on arrival timing, though a reply's class does not — but every HTTP
+// request still flows through the same scheduler, wear and maintenance
+// machinery.
+
+const (
+	// queueSlots bounds admission: once this many requests wait for the
+	// consumer, further ones are refused with 503 instead of stalling
+	// their handlers. It holds several BatchMax-sized batches of backlog.
+	queueSlots = 64
+	// bytesPerValue bounds one image value in a /classify body. Even a
+	// float64-precision JSON number is at most 24 bytes
+	// ("-2.2250738585072014e-308"); the rest is room for a separator and
+	// whitespace.
+	bytesPerValue = 32
+	// bodySlack covers the braces, the keys and the label.
+	bodySlack = 4 << 10
+)
 
 // ClassifyRequest is the POST /classify body.
 type ClassifyRequest struct {
@@ -33,32 +52,41 @@ type ClassifyResponse struct {
 	LatencyTicks   uint64 `json:"latency_ticks"`
 }
 
+// FrontStats is the HTTP front's /status section.
+type FrontStats struct {
+	// Rejected counts requests refused with 503 because the queue was
+	// full.
+	Rejected int64 `json:"rejected"`
+}
+
 type httpReq struct {
 	req  *Request
 	done chan struct{}
 }
 
 // Front serialises HTTP requests onto the Server's simulated arrival
-// clock through a single consumer goroutine.
+// clock through a single consumer goroutine. Each round it submits one
+// request, drains the requests already queued behind it up to BatchMax,
+// and flushes, so a lone request runs at once and the requests that queue
+// while a batch runs become the next batch.
 type Front struct {
-	srv     *Server
-	ch      chan *httpReq
-	wait    time.Duration
-	stop    chan struct{}
-	stopped chan struct{}
+	srv      *Server
+	ch       chan *httpReq
+	maxBody  int64
+	rejected atomic.Int64
+	stop     chan struct{}
+	stopped  chan struct{}
 }
 
-// NewFront wraps srv. wait is the wall-clock interval at which a partial
-// batch is force-flushed when no new traffic arrives to advance the
-// simulated clock past the max-wait deadline.
+// NewFront wraps srv.
+//
+// Deprecated: wait is ignored. The front flushes as soon as its queue
+// drains, not on a wall-clock ticker; pass 0.
 func NewFront(srv *Server, wait time.Duration) *Front {
-	if wait <= 0 {
-		wait = 10 * time.Millisecond
-	}
 	return &Front{
 		srv:     srv,
-		ch:      make(chan *httpReq, 64),
-		wait:    wait,
+		ch:      make(chan *httpReq, queueSlots),
+		maxBody: int64(srv.InputLen())*bytesPerValue + bodySlack,
 		stop:    make(chan struct{}),
 		stopped: make(chan struct{}),
 	}
@@ -74,50 +102,49 @@ func (f *Front) Close() {
 	<-f.stopped
 }
 
+// StatusSection is the /status registry hook ("http" section).
+func (f *Front) StatusSection() interface{} {
+	return FrontStats{Rejected: f.rejected.Load()}
+}
+
 func (f *Front) loop() {
 	defer close(f.stopped)
 	var arrival uint64
-	var pending []*httpReq
-	tick := time.NewTicker(f.wait)
-	defer tick.Stop()
-	complete := func() {
-		kept := pending[:0]
-		for _, hr := range pending {
-			if hr.req.Completion > 0 {
-				close(hr.done)
-			} else {
-				kept = append(kept, hr)
-			}
-		}
-		pending = kept
+	batch := make([]*httpReq, 0, f.srv.cfg.BatchMax)
+	submit := func(hr *httpReq) {
+		arrival++
+		hr.req.Arrival = arrival
+		f.srv.Submit(hr.req)
+		batch = append(batch, hr)
 	}
 	for {
 		select {
 		case hr := <-f.ch:
-			arrival++
-			hr.req.Arrival = arrival
-			f.srv.Submit(hr.req)
-			pending = append(pending, hr)
-		case <-tick.C:
-			f.srv.Flush()
+			submit(hr)
 		case <-f.stop:
-			for {
-				select {
-				case hr := <-f.ch:
-					arrival++
-					hr.req.Arrival = arrival
-					f.srv.Submit(hr.req)
-					pending = append(pending, hr)
-					continue
-				default:
-				}
-				break
+			select {
+			case hr := <-f.ch: // Close still serves what is queued
+				submit(hr)
+			default:
+				return
 			}
-			f.srv.Flush()
-			complete()
-			return
 		}
-		complete()
+	drain:
+		for len(batch) < f.srv.cfg.BatchMax {
+			select {
+			case hr := <-f.ch:
+				submit(hr)
+			default:
+				break drain
+			}
+		}
+		// Submit sealed every full batch; Flush seals the rest, so every
+		// request taken this round is complete.
+		f.srv.Flush()
+		for _, hr := range batch {
+			close(hr.done)
+		}
+		batch = batch[:0]
 	}
 }
 
@@ -138,7 +165,12 @@ func (f *Front) handleClassify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var cr ClassifyRequest
-	if err := json.NewDecoder(r.Body).Decode(&cr); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, f.maxBody)).Decode(&cr); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("body exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -156,9 +188,18 @@ func (f *Front) handleClassify(w http.ResponseWriter, r *http.Request) {
 	case <-f.stop:
 		http.Error(w, "server shutting down", http.StatusServiceUnavailable)
 		return
+	default:
+		f.rejected.Add(1)
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, "request queue full", http.StatusServiceUnavailable)
+		return
 	}
 	select {
 	case <-hr.done:
+	case <-r.Context().Done():
+		// The client left. The request still runs when its batch does;
+		// nobody reads the reply.
+		return
 	case <-f.stopped:
 		http.Error(w, "server shutting down", http.StatusServiceUnavailable)
 		return
